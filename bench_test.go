@@ -122,6 +122,54 @@ func BenchmarkTableII_OPM_NA(b *testing.B) {
 	}
 }
 
+// BenchmarkColumnSolve_TableII isolates the hot loop of the OPM Table II
+// solve: the m column solves against the leading pencil's factor. The amd
+// leg builds the factor exactly as core.Solve does (sparse.Factor with
+// default options, AMD pre-ordering); the rcm leg orders the same pencil
+// with reverse Cuthill–McKee instead, for comparison. Each op solves the
+// full m columns; fill_nnz and ns/column are reported per leg.
+func BenchmarkColumnSolve_TableII(b *testing.B) {
+	fx := newGridFixture(b, 16)
+	m := int(tableIITime / tableIIStep)
+	a, _, err := core.LeadingPencil(fx.na, m, tableIITime)
+	if err != nil {
+		b.Fatal(err)
+	}
+	legs := []struct {
+		name   string
+		factor func() (*sparse.Factorization, error)
+	}{
+		{"amd", func() (*sparse.Factorization, error) { return sparse.Factor(a, sparse.Options{}) }},
+		{"rcm", func() (*sparse.Factorization, error) {
+			return sparse.Factor(a.Permute(sparse.RCM(a)), sparse.Options{NoRCM: true})
+		}},
+	}
+	for _, leg := range legs {
+		b.Run(leg.name, func(b *testing.B) {
+			f, err := leg.factor()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rhs := make([]float64, a.R)
+			for i := range rhs {
+				rhs[i] = float64(i%17) - 8
+			}
+			x := make([]float64, a.R)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 0; j < m; j++ {
+					if err := f.SolveInto(x, rhs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m), "ns/column")
+			b.ReportMetric(float64(f.NNZFactors()), "fill_nnz")
+		})
+	}
+}
+
 func benchTransient(b *testing.B, method transient.Method, h float64) {
 	fx := newGridFixture(b, 16)
 	b.ReportAllocs()

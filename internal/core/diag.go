@@ -113,7 +113,7 @@ const (
 	TierQR
 	// TierSupernodal is the large-grid fast path tried before TierSparseLU
 	// when engaged (Options.Supernodal / SupernodalMinN): nested-dissection
-	// domain decomposition with supernodal blocked domain factors and a dense
+	// domain decomposition with AMD-ordered sparse domain factors and a dense
 	// interface Schur complement. It sits above the scalar sparse tier in the
 	// chain — a failed or ill-conditioned supernodal factorization falls
 	// through to TierSparseLU — so it never counts as degradation. (Appended

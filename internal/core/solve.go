@@ -70,7 +70,7 @@ type Options struct {
 	// barrier semantics keep the hook off the concurrent group tasks.
 	OnColumn func(col int, t float64, x []float64)
 	// Supernodal steers the supernodal/domain-decomposed factorization tier
-	// (nested-dissection BBD with blocked supernodal domain factors): 0 —
+	// (nested-dissection BBD with AMD-ordered sparse domain factors): 0 —
 	// the default — engages it automatically for pencils of dimension at
 	// least SupernodalMinN, 1 forces it regardless of size, −1 disables it.
 	// When engaged it is tried before the scalar sparse LU and falls through

@@ -53,13 +53,14 @@ var atsetHotFiles = map[string]bool{
 	"parambatch.go": true,
 	"delta.go":      true,
 	"vec.go":        true,
-	// PR 10 supernodal/BBD surface: the blocked substitution kernels
-	// (snode.go), the dense Schur interface factor (denselu.go), and the
-	// domain-decomposed solve with its Schur patch assembly (bbd.go) run per
-	// column per solve on n=10⁵ grids.
-	"snode.go":   true,
+	// BBD surface: the dense Schur interface factor (denselu.go) and
+	// the domain-decomposed solve with its Schur patch assembly (bbd.go) run
+	// per column per solve on n=10⁵ grids.
 	"denselu.go": true,
 	"bbd.go":     true,
+	// The AMD ordering runs on every scalar-tier and BBD-domain
+	// factorization, inside the factor-cache miss path.
+	"amd.go": true,
 }
 
 // atsetHotOnly narrows the watchlist within specific packages: for these

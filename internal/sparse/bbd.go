@@ -20,12 +20,12 @@ import (
 //	    ⎢      D_P F_P⎥
 //	    ⎣G₁ ⋯  G_P  C ⎦
 //
-// Each domain factors independently (Gilbert–Peierls LU with its own RCM
-// ordering, supernodalized — snode.go), its Schur contribution Gᵢ·Dᵢ⁻¹·Fᵢ is
-// assembled through 32-wide panel solves (the SubMulRows kernels of
-// panel.go), and the dense interface Schur complement S is factored by the
-// blocked dense LU of denselu.go. Solves run block forward elimination and
-// back substitution:
+// Each domain factors independently (Gilbert–Peierls LU with its own AMD
+// ordering, solved by the single pivot-position kernel of lu.go), its Schur
+// contribution Gᵢ·Dᵢ⁻¹·Fᵢ is assembled through 32-wide panel solves (the
+// SubMulRows kernels of panel.go), and the dense interface Schur complement
+// S is factored by the blocked dense LU of denselu.go. Solves run block
+// forward elimination and back substitution:
 //
 //	yᵢ = Dᵢ⁻¹·bᵢ,   z = S⁻¹·(b_S − Σᵢ Gᵢ·yᵢ),   xᵢ = Dᵢ⁻¹·(bᵢ − Fᵢ·z),  x_S = z
 //
@@ -78,7 +78,7 @@ func bbdParts(n int) int {
 // bbdDomain is one independent diagonal block and its interface coupling.
 type bbdDomain struct {
 	nodes []int          // original indices, ascending
-	f     *Factorization // LU of A(dom, dom), supernodalized
+	f     *Factorization // LU of A(dom, dom), AMD-ordered
 	fi    *CSR           // A(dom, iface): len(nodes) × ni
 	gi    *CSR           // A(iface, dom): ni × len(nodes)
 	fiT   *CSR           // fi transposed (iface-slot rows), for panel fills and transpose solves
@@ -198,7 +198,7 @@ func FactorBBD(a *CSR, opt BBDOptions) (*BBD, error) {
 			}
 		}()
 		dom := b.doms[d]
-		f, ferr := Factor(dcoo[d].ToCSR(), Options{PivotTol: tol, Supernodal: true})
+		f, ferr := Factor(dcoo[d].ToCSR(), Options{PivotTol: tol})
 		if ferr != nil {
 			return fmt.Errorf("sparse: domain %d: %w", d, ferr)
 		}
@@ -276,7 +276,7 @@ func activeSlots(m *CSR) []int {
 
 // assemblePatch computes the domain's Schur contribution G·D⁻¹·F restricted
 // to its active interface rows and columns, 32 panel columns at a time: each
-// panel of F columns is solved through the supernodal domain factorization
+// panel of F columns is solved through the domain factorization
 // (SolvePanelInto — fused SubMulRows kernels), then folded against the
 // sparse rows of G with vecops.AddMul.
 func (dom *bbdDomain) assemblePatch() error {

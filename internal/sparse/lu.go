@@ -9,40 +9,54 @@ import (
 // ErrSingular is returned when factorization cannot find a usable pivot.
 var ErrSingular = errors.New("sparse: matrix is singular")
 
-// LU is a sparse LU factorization P·A = L·U produced by the left-looking
-// Gilbert–Peierls algorithm with threshold partial pivoting. L is unit lower
-// triangular (unit diagonal implicit) and U upper triangular, both stored by
-// column; row indices of L are original row numbers, row indices of U are
-// pivot positions.
+// ErrTooLarge is returned when a factor would hold more nonzeros than its
+// int32 index arrays can address.
+var ErrTooLarge = errors.New("sparse: factor exceeds the int32 index range")
+
+// maxFactorNNZ bounds the nonzeros of one triangular factor (a variable so
+// tests can exercise the guard without a 2³¹-entry factor).
+var maxFactorNNZ = math.MaxInt32
+
+// LU is a sparse LU factorization P·A·Q = L·U produced by the left-looking
+// Gilbert–Peierls algorithm with threshold partial pivoting, where Q is the
+// symmetric pre-ordering Factor applies (the identity for FactorLU) and P
+// composes it with the row pivots. L is unit lower triangular (unit diagonal
+// implicit) and U upper triangular, both stored by column with int32 row
+// indices in pivot positions, so both substitution sweeps index one dense
+// vector directly.
+//
+// Single layout, single kernel: a solve gathers b through gather (pivot
+// position → original row), sweeps L forward and U backward in place, and
+// scatters through scatter (pivot position → original column). Relabelling
+// L's rows from original rows to pivot positions only renames the slots the
+// updates land in: within one column every update touches a distinct row,
+// and columns run in the same pivot order with the same exact-zero skips, so
+// results are bitwise-identical to sweeping the original-row layout through
+// a perm[] lookup per column.
 type LU struct {
 	n int
 
-	lp []int // L column pointers (len n+1)
-	li []int // L row indices (original rows)
+	lp []int32 // L column pointers (len n+1)
+	li []int32 // L row indices (pivot positions, strictly below diagonal)
 	lx []float64
 
-	up    []int // U column pointers (len n+1)
-	ui    []int // U row indices (pivot positions, strictly above diagonal)
+	up    []int32 // U column pointers (len n+1)
+	ui    []int32 // U row indices (pivot positions, strictly above diagonal)
 	ux    []float64
 	udiag []float64 // U diagonal (the pivots)
 
-	perm []int // pivot position -> original row
-	pinv []int // original row -> pivot position
+	gather  []int32 // pivot position → original row of A
+	scatter []int32 // pivot position → original column of A
 
-	work []float64 // SolveInto forward-substitution scratch, lazily sized
-
-	// Supernodal blocked-substitution plan (Supernodalize); nil runs the
-	// scalar sweeps. sn is immutable once built and shared across views;
-	// snbuf is per-view gather scratch.
-	sn    *superNodes
-	snbuf []float64
+	work []float64 // SolveInto substitution scratch, lazily sized
 }
 
 // FactorLU factors the square sparse matrix a with pivot threshold tol in
 // (0, 1]: at each column the natural (diagonal) row is kept as pivot when its
 // magnitude is at least tol times the column maximum, which preserves
 // sparsity on the diagonally dominant matrices circuits produce; tol = 1
-// degenerates to full partial pivoting.
+// degenerates to full partial pivoting. It fails with ErrTooLarge rather than
+// overflow its int32 indices.
 func FactorLU(a *CSR, tol float64) (*LU, error) {
 	n := a.R
 	if a.C != n {
@@ -51,18 +65,23 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 	if tol <= 0 || tol > 1 {
 		return nil, fmt.Errorf("sparse: pivot threshold %g outside (0,1]", tol)
 	}
+	if n > maxFactorNNZ {
+		return nil, fmt.Errorf("%w: dimension %d", ErrTooLarge, n)
+	}
 	at := a.T() // CSC view: at row i holds column i of a.
 
 	f := &LU{
 		n:     n,
-		lp:    make([]int, 1, n+1),
-		up:    make([]int, 1, n+1),
+		lp:    make([]int32, 1, n+1),
+		up:    make([]int32, 1, n+1),
 		udiag: make([]float64, n),
-		perm:  make([]int, n),
-		pinv:  make([]int, n),
 	}
-	for i := range f.pinv {
-		f.pinv[i] = -1
+	// During elimination L's row indices are original rows; perm/pinv map
+	// between them and pivot positions until the final relabelling.
+	perm := make([]int, n) // pivot position -> original row
+	pinv := make([]int, n) // original row -> pivot position
+	for i := range pinv {
+		pinv[i] = -1
 	}
 
 	x := make([]float64, n)       // dense accumulator, indexed by original row
@@ -83,26 +102,26 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 		// --- Symbolic: reach of A(:,j) through the columns of L built so far.
 		topo = topo[:0]
 		for p := at.RowPtr[j]; p < at.RowPtr[j+1]; p++ {
-			c := f.pinv[at.ColIdx[p]]
+			c := pinv[at.ColIdx[p]]
 			if c < 0 || cmark[c] == j {
 				continue
 			}
 			// Iterative DFS from column c; reverse post-order is prepended
 			// by collecting post-order then reversing at the end.
 			dfsStack = append(dfsStack[:0], c)
-			posStack = append(posStack[:0], f.lp[c])
+			posStack = append(posStack[:0], int(f.lp[c]))
 			cmark[c] = j
 			for len(dfsStack) > 0 {
 				top := len(dfsStack) - 1
 				k := dfsStack[top]
 				advanced := false
-				for q := posStack[top]; q < f.lp[k+1]; q++ {
-					child := f.pinv[f.li[q]]
+				for q := posStack[top]; q < int(f.lp[k+1]); q++ {
+					child := pinv[f.li[q]]
 					if child >= 0 && cmark[child] != j {
 						cmark[child] = j
 						posStack[top] = q + 1
 						dfsStack = append(dfsStack, child)
-						posStack = append(posStack, f.lp[child])
+						posStack = append(posStack, int(f.lp[child]))
 						advanced = true
 						break
 					}
@@ -131,7 +150,7 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 			x[r] += at.Val[p]
 		}
 		for _, k := range topo {
-			pr := f.perm[k]
+			pr := perm[k]
 			if mark[pr] != j {
 				mark[pr] = j
 				x[pr] = 0
@@ -146,7 +165,7 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 				if mark[r] != j {
 					mark[r] = j
 					x[r] = 0
-					touched = append(touched, r)
+					touched = append(touched, int(r))
 				}
 				x[r] -= f.lx[q] * xk
 			}
@@ -157,7 +176,7 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 		diagOK := false
 		var diagVal float64
 		for _, r := range touched {
-			if f.pinv[r] >= 0 {
+			if pinv[r] >= 0 {
 				continue
 			}
 			if a := math.Abs(x[r]); a > maxAbs {
@@ -174,31 +193,56 @@ func FactorLU(a *CSR, tol float64) (*LU, error) {
 			pivRow = j
 		}
 		pivVal := x[pivRow]
-		f.perm[j] = pivRow
-		f.pinv[pivRow] = j
+		perm[j] = pivRow
+		pinv[pivRow] = j
 		f.udiag[j] = pivVal
 
 		// --- Store U(:,j) (pivoted rows) and L(:,j) (unpivoted rows).
 		for _, k := range topo {
-			v := x[f.perm[k]]
+			v := x[perm[k]]
 			if !isExactZero(v) && k != j {
-				f.ui = append(f.ui, k)
+				f.ui = append(f.ui, int32(k))
 				f.ux = append(f.ux, v)
 			}
 		}
 		for _, r := range touched {
-			if f.pinv[r] >= 0 || r == pivRow {
+			if pinv[r] >= 0 || r == pivRow {
 				continue
 			}
 			if v := x[r]; !isExactZero(v) {
-				f.li = append(f.li, r)
+				f.li = append(f.li, int32(r))
 				f.lx = append(f.lx, v/pivVal)
 			}
 		}
-		f.lp = append(f.lp, len(f.li))
-		f.up = append(f.up, len(f.ui))
+		if len(f.li) > maxFactorNNZ || len(f.ui) > maxFactorNNZ {
+			return nil, fmt.Errorf("%w: more than %d factor nonzeros at column %d", ErrTooLarge, maxFactorNNZ, j)
+		}
+		f.lp = append(f.lp, int32(len(f.li)))
+		f.up = append(f.up, int32(len(f.ui)))
+	}
+
+	// Final layout: L rows in pivot positions, gather = row pivots, scatter
+	// = identity (Factor composes its pre-ordering into both).
+	for q, r := range f.li {
+		f.li[q] = int32(pinv[r])
+	}
+	f.gather = make([]int32, n)
+	f.scatter = make([]int32, n)
+	for j, r := range perm {
+		f.gather[j] = int32(r)
+		f.scatter[j] = int32(j)
 	}
 	return f, nil
+}
+
+// preorder composes a symmetric pre-ordering (new → old, the factored matrix
+// being A(ord, ord)) into the gather and scatter maps, so solves take the
+// original right-hand side and return the original unknowns directly.
+func (f *LU) preorder(ord []int) {
+	for j, r := range f.gather {
+		f.gather[j] = int32(ord[r])
+		f.scatter[j] = int32(ord[j])
+	}
 }
 
 // N returns the factored dimension.
@@ -214,40 +258,15 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 	if len(b) != f.n {
 		return nil, fmt.Errorf("sparse: LU Solve length %d != %d", len(b), f.n)
 	}
-	work := append([]float64(nil), b...)
-	// Forward: L y = P b, processed column by column in pivot order.
-	for j := 0; j < f.n; j++ {
-		yj := work[f.perm[j]]
-		if isExactZero(yj) {
-			continue
-		}
-		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			work[f.li[q]] -= f.lx[q] * yj
-		}
-	}
-	y := make([]float64, f.n)
-	for j := 0; j < f.n; j++ {
-		y[j] = work[f.perm[j]]
-	}
-	// Backward: U x = y, U stored by column with pivot-position rows.
-	for j := f.n - 1; j >= 0; j-- {
-		y[j] /= f.udiag[j]
-		xj := y[j]
-		if isExactZero(xj) {
-			continue
-		}
-		for q := f.up[j]; q < f.up[j+1]; q++ {
-			y[f.ui[q]] -= f.ux[q] * xj
-		}
-	}
-	return y, nil
+	x := make([]float64, f.n)
+	f.solve(x, b, make([]float64, f.n))
+	return x, nil
 }
 
-// SolveInto solves A·x = b into x (len n each; x must not alias b) using
-// scratch kept on the factorization, so steady-state solves allocate
-// nothing. The floating-point operations and their order are identical to
-// Solve — the two entry points produce bitwise-identical results — but the
-// retained scratch makes an LU unsafe for concurrent SolveInto calls.
+// SolveInto solves A·x = b into x (len n each) using scratch kept on the
+// factorization, so steady-state solves allocate nothing. It runs the same
+// kernel as Solve — the two entry points produce bitwise-identical results —
+// but the retained scratch makes an LU unsafe for concurrent SolveInto calls.
 func (f *LU) SolveInto(x, b []float64) error {
 	if len(b) != f.n || len(x) != f.n {
 		return fmt.Errorf("sparse: LU SolveInto lengths %d,%d != %d", len(x), len(b), f.n)
@@ -255,59 +274,61 @@ func (f *LU) SolveInto(x, b []float64) error {
 	if f.work == nil {
 		f.work = make([]float64, f.n)
 	}
-	work := f.work
-	copy(work, b)
-	if f.sn != nil {
-		// Supernodal blocked sweeps: bitwise-identical to the scalar loops
-		// below (see snode.go for the argument), with external-row updates
-		// batched through vecops.
-		if f.snbuf == nil {
-			f.snbuf = make([]float64, f.n)
-		}
-		f.forwardBlocked(work)
-		for j := 0; j < f.n; j++ {
-			x[j] = work[f.perm[j]]
-		}
-		f.backwardBlocked(x)
-		return nil
-	}
-	// Forward: L y = P b, processed column by column in pivot order.
-	for j := 0; j < f.n; j++ {
-		yj := work[f.perm[j]]
-		if isExactZero(yj) {
-			continue
-		}
-		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			work[f.li[q]] -= f.lx[q] * yj
-		}
-	}
-	for j := 0; j < f.n; j++ {
-		x[j] = work[f.perm[j]]
-	}
-	// Backward: U x = y, U stored by column with pivot-position rows.
-	for j := f.n - 1; j >= 0; j-- {
-		x[j] /= f.udiag[j]
-		xj := x[j]
-		if isExactZero(xj) {
-			continue
-		}
-		for q := f.up[j]; q < f.up[j+1]; q++ {
-			x[f.ui[q]] -= f.ux[q] * xj
-		}
-	}
+	f.solve(x, b, f.work)
 	return nil
 }
 
-// SolveTranspose solves Aᵀ·x = b. With P·A = L·U, Aᵀ = Uᵀ·Lᵀ·P, so the
-// sweep is a forward substitution with Uᵀ (lower triangular in pivot
-// coordinates), a backward substitution with the unit-diagonal Lᵀ, and a
-// final inverse row permutation. It exists for the 1-norm condition
-// estimator, which needs solves against both A and Aᵀ.
+// solve is the substitution kernel behind Solve and SolveInto: gather b into
+// pivot order, sweep L forward and U backward in w, scatter w into x.
+func (f *LU) solve(x, b, w []float64) {
+	for j, r := range f.gather {
+		w[j] = b[r]
+	}
+	// Forward: L y = P b, column by column in pivot order.
+	for j := 0; j < f.n; j++ {
+		yj := w[j]
+		if isExactZero(yj) {
+			continue
+		}
+		rows := f.li[f.lp[j]:f.lp[j+1]]
+		coef := f.lx[f.lp[j]:f.lp[j+1]]
+		coef = coef[:len(rows)]
+		for q, r := range rows {
+			w[r] -= coef[q] * yj
+		}
+	}
+	// Backward: U z = y, descending.
+	for j := f.n - 1; j >= 0; j-- {
+		w[j] /= f.udiag[j]
+		xj := w[j]
+		if isExactZero(xj) {
+			continue
+		}
+		rows := f.ui[f.up[j]:f.up[j+1]]
+		coef := f.ux[f.up[j]:f.up[j+1]]
+		coef = coef[:len(rows)]
+		for q, r := range rows {
+			w[r] -= coef[q] * xj
+		}
+	}
+	for j, c := range f.scatter {
+		x[c] = w[j]
+	}
+}
+
+// SolveTranspose solves Aᵀ·x = b. With P·A·Q = L·U, Aᵀ = Q·Uᵀ·Lᵀ·P, so the
+// sweep gathers through the column map, runs a forward substitution with Uᵀ
+// (lower triangular in pivot coordinates) and a backward substitution with
+// the unit-diagonal Lᵀ, and scatters through the row map. It exists for the
+// 1-norm condition estimator, which needs solves against both A and Aᵀ.
 func (f *LU) SolveTranspose(b []float64) ([]float64, error) {
 	if len(b) != f.n {
 		return nil, fmt.Errorf("sparse: LU SolveTranspose length %d != %d", len(b), f.n)
 	}
-	z := append([]float64(nil), b...)
+	z := make([]float64, f.n)
+	for j, c := range f.scatter {
+		z[j] = b[c]
+	}
 	// Uᵀ z = b: column j of U lists the strictly-above-diagonal rows of
 	// column j, i.e. the sub-diagonal entries of row j of Uᵀ.
 	for j := 0; j < f.n; j++ {
@@ -317,19 +338,18 @@ func (f *LU) SolveTranspose(b []float64) ([]float64, error) {
 		}
 		z[j] = s / f.udiag[j]
 	}
-	// Lᵀ w = z in place: rows of Lᵀ below j sit at pivot positions
-	// pinv[li[q]] > j, already final when j is processed in descending order.
+	// Lᵀ w = z in place: rows of Lᵀ below j sit at pivot positions > j,
+	// already final when j is processed in descending order.
 	for j := f.n - 1; j >= 0; j-- {
 		s := z[j]
 		for q := f.lp[j]; q < f.lp[j+1]; q++ {
-			s -= f.lx[q] * z[f.pinv[f.li[q]]]
+			s -= f.lx[q] * z[f.li[q]]
 		}
 		z[j] = s
 	}
-	// x = Pᵀ w.
 	x := make([]float64, f.n)
-	for j := 0; j < f.n; j++ {
-		x[f.perm[j]] = z[j]
+	for j, r := range f.gather {
+		x[r] = z[j]
 	}
 	return x, nil
 }
@@ -339,54 +359,56 @@ type Options struct {
 	// PivotTol is the threshold-pivoting tolerance in (0, 1]; 0 selects the
 	// default 0.1.
 	PivotTol float64
-	// NoRCM disables the reverse Cuthill–McKee pre-ordering.
+	// NoRCM disables the fill-reducing pre-ordering (approximate minimum
+	// degree; the field predates AMD and keeps its name), for callers that
+	// order the matrix themselves.
 	NoRCM bool
 	// Refine enables one step of iterative refinement per solve.
 	Refine bool
-	// Supernodal runs the supernodal symbolic analysis on the finished
-	// factors and routes SolveInto through the blocked substitution kernels
-	// (snode.go). Results are bitwise-identical to the scalar sweeps.
-	Supernodal bool
 }
 
-// Factorization couples a sparse LU with the optional fill-reducing
-// pre-ordering and iterative refinement against the original matrix.
+// amdMinN is the dimension below which Factor skips the pre-ordering: such
+// systems factor in microseconds and their fill cannot repay the ordering.
+const amdMinN = 64
+
+// Factorization couples a sparse LU (with its fill-reducing pre-ordering
+// composed into the solve maps) with optional iterative refinement against
+// the original matrix.
 type Factorization struct {
 	lu     *LU
-	a      *CSR  // original matrix (for refinement)
-	ord    []int // new -> old, nil when no pre-ordering
+	a      *CSR // original matrix (for refinement)
 	refine bool
 
-	// SolveInto scratch, lazily sized; see the concurrency note there.
-	pwork  []float64 // permuted right-hand side
-	pxwork []float64 // permuted solution
-	rwork  []float64 // refinement residual
-	dwork  []float64 // refinement correction
+	// SolveInto refinement scratch, lazily sized; see the concurrency note.
+	rwork []float64 // refinement residual
+	dwork []float64 // refinement correction
 }
 
-// Factor computes a ready-to-solve factorization of the square matrix a.
+// Factor computes a ready-to-solve factorization of the square matrix a,
+// ordered by AMD (see amd.go) unless opt.NoRCM is set or a is smaller than
+// 64×64.
 func Factor(a *CSR, opt Options) (*Factorization, error) {
 	tol := opt.PivotTol
 	if isExactZero(tol) {
 		tol = 0.1
 	}
-	f := &Factorization{a: a, refine: opt.Refine}
+	if a.R != a.C {
+		return nil, fmt.Errorf("sparse: Factor of non-square %dx%d matrix", a.R, a.C)
+	}
+	var ord []int
 	work := a
-	// RCM pays off on mesh-like matrices; below ~64 unknowns its setup cost
-	// exceeds any fill reduction, so skip it.
-	if !opt.NoRCM && a.R >= 64 {
-		f.ord = RCM(a)
-		work = a.Permute(f.ord)
+	if !opt.NoRCM && a.R >= amdMinN {
+		ord = AMD(a)
+		work = a.Permute(ord)
 	}
 	lu, err := FactorLU(work, tol)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Supernodal {
-		lu.Supernodalize()
+	if ord != nil {
+		lu.preorder(ord)
 	}
-	f.lu = lu
-	return f, nil
+	return &Factorization{lu: lu, a: a, refine: opt.Refine}, nil
 }
 
 // N returns the system dimension.
@@ -401,7 +423,7 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 	if len(b) != f.lu.n {
 		return nil, fmt.Errorf("sparse: Solve right-hand side length %d != %d", len(b), f.lu.n)
 	}
-	x, err := f.solveOnce(b, false)
+	x, err := f.lu.Solve(b)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +433,7 @@ func (f *Factorization) Solve(b []float64) ([]float64, error) {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		d, err := f.solveOnce(r, false)
+		d, err := f.lu.Solve(r)
 		if err != nil {
 			return nil, err
 		}
@@ -433,7 +455,7 @@ func (f *Factorization) SolveInto(x, b []float64) error {
 	if len(b) != n || len(x) != n {
 		return fmt.Errorf("sparse: SolveInto lengths %d,%d != %d", len(x), len(b), n)
 	}
-	if err := f.solveOnceInto(x, b); err != nil {
+	if err := f.lu.SolveInto(x, b); err != nil {
 		return err
 	}
 	if f.refine {
@@ -446,7 +468,7 @@ func (f *Factorization) SolveInto(x, b []float64) error {
 		for i := range r {
 			r[i] = b[i] - r[i]
 		}
-		if err := f.solveOnceInto(f.dwork, r); err != nil {
+		if err := f.lu.SolveInto(f.dwork, r); err != nil {
 			return err
 		}
 		for i := range x {
@@ -456,61 +478,12 @@ func (f *Factorization) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// solveOnceInto mirrors the forward direction of solveOnce into a caller
-// buffer, routing through the RCM permutation sandwich when present.
-func (f *Factorization) solveOnceInto(x, b []float64) error {
-	if f.ord == nil {
-		return f.lu.SolveInto(x, b)
-	}
-	n := f.lu.n
-	if f.pwork == nil {
-		f.pwork = make([]float64, n)
-		f.pxwork = make([]float64, n)
-	}
-	for newI, oldI := range f.ord {
-		f.pwork[newI] = b[oldI]
-	}
-	if err := f.lu.SolveInto(f.pxwork, f.pwork); err != nil {
-		return err
-	}
-	for newI, oldI := range f.ord {
-		x[oldI] = f.pxwork[newI]
-	}
-	return nil
-}
-
 // SolveTranspose solves Aᵀ·x = b without modifying b (no refinement).
 func (f *Factorization) SolveTranspose(b []float64) ([]float64, error) {
 	if len(b) != f.lu.n {
 		return nil, fmt.Errorf("sparse: SolveTranspose right-hand side length %d != %d", len(b), f.lu.n)
 	}
-	return f.solveOnce(b, true)
-}
-
-func (f *Factorization) solveOnce(b []float64, transpose bool) ([]float64, error) {
-	luSolve := f.lu.Solve
-	if transpose {
-		// The RCM pre-ordering is symmetric (W = P·A·Pᵀ), so Wᵀ = P·Aᵀ·Pᵀ and
-		// the same permutation sandwich applies to the transposed solve.
-		luSolve = f.lu.SolveTranspose
-	}
-	if f.ord == nil {
-		return luSolve(b)
-	}
-	n := f.lu.n
-	pb := make([]float64, n)
-	for newI, oldI := range f.ord {
-		pb[newI] = b[oldI]
-	}
-	px, err := luSolve(pb)
-	if err != nil {
-		return nil, err
-	}
-	x := make([]float64, n)
-	for newI, oldI := range f.ord {
-		x[oldI] = px[newI]
-	}
-	return x, nil
+	return f.lu.SolveTranspose(b)
 }
 
 // Cond1Est estimates the 1-norm condition number κ₁(A) = ‖A‖₁·‖A⁻¹‖₁ with
@@ -539,7 +512,7 @@ func (f *Factorization) Cond1Est() float64 {
 	est := 0.0
 	prev := -1
 	for iter := 0; iter < 5; iter++ {
-		y, err := f.solveOnce(x, false)
+		y, err := f.lu.Solve(x)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -558,7 +531,7 @@ func (f *Factorization) Cond1Est() float64 {
 				xi[i] = -1
 			}
 		}
-		z, err := f.solveOnce(xi, true)
+		z, err := f.lu.SolveTranspose(xi)
 		if err != nil {
 			return math.Inf(1)
 		}

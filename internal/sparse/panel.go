@@ -26,62 +26,57 @@ import (
 // SolvePanelInto solves A·X = B for a panel of right-hand sides: x, b, and
 // work are n×K with the same K; x must not alias b or work. The work panel is
 // caller-owned scratch, which keeps the kernel safe for concurrent use on
-// disjoint panels of one shared factorization.
+// disjoint panels of one shared factorization. It is the panel form of the
+// LU's one substitution kernel: gather, forward sweep, backward sweep,
+// scatter, on the same factor arrays.
 func (f *LU) SolvePanelInto(x, b, work *mat.Dense) error {
 	if err := checkPanel(f.n, x, b, work); err != nil {
 		return fmt.Errorf("sparse: LU SolvePanelInto: %w", err)
 	}
-	copy(work.Data(), b.Data())
-	w := b.Cols()
-	// Forward: L y = P b, processed column by column in pivot order. The
-	// exact-zero skip is hoisted out of the per-entry loop: one scan of the
-	// source row picks the all-skip, fused-SIMD, or per-element path, and
-	// each path performs per column exactly the operations the scalar solve
-	// would. The fused path hands the column's whole update list to one
-	// SubMulRows call, so the factor's index stream is consumed inside the
-	// kernel instead of through per-nonzero Row() slicing.
-	for j := 0; j < f.n; j++ {
-		yj := work.Row(f.perm[j])
-		switch panelZeros(yj) {
-		case len(yj): // every column's source is zero: scalar skips all updates
-		case 0:
-			vecops.SubMulRows(work.Data(), w, f.li[f.lp[j]:f.lp[j+1]], f.lx[f.lp[j]:f.lp[j+1]], yj)
-		default:
-			for q := f.lp[j]; q < f.lp[j+1]; q++ {
-				dst := work.Row(f.li[q])
-				lx := f.lx[q]
-				for t, v := range yj {
-					if !isExactZero(v) {
-						dst[t] -= lx * v
-					}
-				}
-			}
-		}
+	for j, r := range f.gather {
+		copy(work.Row(j), b.Row(int(r)))
 	}
+	// Forward: L y = P b, column by column in pivot order. The exact-zero
+	// skip is hoisted out of the per-entry loop: one scan of the source row
+	// picks the all-skip, fused-SIMD, or per-element path, and each path
+	// performs per column exactly the operations the scalar solve would. The
+	// fused path hands the column's whole update list to one SubMulRows call,
+	// so the factor's index stream is consumed inside the kernel instead of
+	// through per-nonzero Row() slicing.
 	for j := 0; j < f.n; j++ {
-		copy(x.Row(j), work.Row(f.perm[j]))
+		subMulPanel(work, j, f.li[f.lp[j]:f.lp[j+1]], f.lx[f.lp[j]:f.lp[j+1]])
 	}
-	// Backward: U x = y, U stored by column with pivot-position rows.
+	// Backward: U z = y, descending.
 	for j := f.n - 1; j >= 0; j-- {
-		xj := x.Row(j)
-		vecops.Div(xj, f.udiag[j])
-		switch panelZeros(xj) {
-		case len(xj):
-		case 0:
-			vecops.SubMulRows(x.Data(), w, f.ui[f.up[j]:f.up[j+1]], f.ux[f.up[j]:f.up[j+1]], xj)
-		default:
-			for q := f.up[j]; q < f.up[j+1]; q++ {
-				dst := x.Row(f.ui[q])
-				ux := f.ux[q]
-				for t, v := range xj {
-					if !isExactZero(v) {
-						dst[t] -= ux * v
-					}
-				}
-			}
-		}
+		vecops.Div(work.Row(j), f.udiag[j])
+		subMulPanel(work, j, f.ui[f.up[j]:f.up[j+1]], f.ux[f.up[j]:f.up[j+1]])
+	}
+	for j, c := range f.scatter {
+		copy(x.Row(int(c)), work.Row(j))
 	}
 	return nil
+}
+
+// subMulPanel applies one factor column to a panel: row rows[q] −=
+// coef[q]·row j, per panel column, skipping columns whose source is an exact
+// zero exactly as the one-vector kernel does.
+func subMulPanel(p *mat.Dense, j int, rows []int32, coef []float64) {
+	src := p.Row(j)
+	switch panelZeros(src) {
+	case len(src): // every column's source is zero: scalar skips all updates
+	case 0:
+		vecops.SubMulRows(p.Data(), p.Cols(), rows, coef, src)
+	default:
+		for q, r := range rows {
+			dst := p.Row(int(r))
+			c := coef[q]
+			for t, v := range src {
+				if !isExactZero(v) {
+					dst[t] -= c * v
+				}
+			}
+		}
+	}
 }
 
 // panelZeros counts the exact zeros in one panel row, deciding which
@@ -105,27 +100,25 @@ func panelZeros(row []float64) int {
 func (f *LU) share() *LU {
 	c := *f
 	c.work = nil
-	c.snbuf = nil // supernodal gather scratch is per-view; the plan (sn) is immutable and shared
 	return &c
 }
 
 // Share returns a view of the factorization that reuses the (immutable)
-// factors and pre-ordering but owns its solve scratch. Views are what the
+// factors and solve maps but owns its solve scratch. Views are what the
 // pencil-factorization cache hands out: each run solves through its own view,
 // so cached factorizations never race on scratch, and a view's solves are
 // bitwise-identical to the original's.
 func (f *Factorization) Share() *Factorization {
-	return &Factorization{lu: f.lu.share(), a: f.a, ord: f.ord, refine: f.refine}
+	return &Factorization{lu: f.lu.share(), a: f.a, refine: f.refine}
 }
 
 // PanelScratch owns the working panels one goroutine needs to run
-// Factorization.SolvePanelInto: the substitution work panel, the permutation
-// gather/scatter pair, and the refinement residual/correction pair. Scratch
-// is bound to a panel width; allocate one per concurrent solving task.
+// Factorization.SolvePanelInto: the substitution work panel and the
+// refinement residual/correction pair. Scratch is bound to a panel width;
+// allocate one per concurrent solving task.
 type PanelScratch struct {
 	k                 int
 	work              *mat.Dense
-	pb, px            *mat.Dense // permutation sandwich panels (RCM runs only)
 	residual, correct *mat.Dense // refinement panels (refine runs only)
 }
 
@@ -133,10 +126,6 @@ type PanelScratch struct {
 // exactly k right-hand sides.
 func (f *Factorization) NewPanelScratch(k int) *PanelScratch {
 	s := &PanelScratch{k: k, work: mat.NewDense(f.lu.n, k)}
-	if f.ord != nil {
-		s.pb = mat.NewDense(f.lu.n, k)
-		s.px = mat.NewDense(f.lu.n, k)
-	}
 	if f.refine {
 		s.residual = mat.NewDense(f.lu.n, k)
 		s.correct = mat.NewDense(f.lu.n, k)
@@ -144,9 +133,9 @@ func (f *Factorization) NewPanelScratch(k int) *PanelScratch {
 	return s
 }
 
-// SolvePanelInto solves A·X = B for an n×K panel without modifying b, routing
-// through the RCM permutation sandwich and the optional refinement step
-// exactly as the one-vector SolveInto does, column by column in the same
+// SolvePanelInto solves A·X = B for an n×K panel without modifying b, running
+// the substitution and the optional refinement step exactly as the
+// one-vector SolveInto does, column by column in the same
 // operation order — each column of x is bitwise-identical to a SolveInto call
 // on the matching column of b. s must come from NewPanelScratch(K) on this
 // factorization (or a Share() sibling); concurrent calls need distinct
@@ -158,7 +147,7 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 	if x.Cols() != s.k {
 		return fmt.Errorf("sparse: SolvePanelInto scratch is for %d right-hand sides, got %d", s.k, x.Cols())
 	}
-	if err := f.solveOncePanel(x, b, s); err != nil {
+	if err := f.lu.SolvePanelInto(x, b, s.work); err != nil {
 		return err
 	}
 	if f.refine {
@@ -168,31 +157,13 @@ func (f *Factorization) SolvePanelInto(x, b *mat.Dense, s *PanelScratch) error {
 		for i, v := range rd {
 			rd[i] = bd[i] - v
 		}
-		if err := f.solveOncePanel(s.correct, s.residual, s); err != nil {
+		if err := f.lu.SolvePanelInto(s.correct, s.residual, s.work); err != nil {
 			return err
 		}
 		xd, cd := x.Data(), s.correct.Data()
 		for i, v := range cd {
 			xd[i] += v
 		}
-	}
-	return nil
-}
-
-// solveOncePanel is one unrefined panel solve through the permutation
-// sandwich, mirroring solveOnceInto.
-func (f *Factorization) solveOncePanel(x, b *mat.Dense, s *PanelScratch) error {
-	if f.ord == nil {
-		return f.lu.SolvePanelInto(x, b, s.work)
-	}
-	for newI, oldI := range f.ord {
-		copy(s.pb.Row(newI), b.Row(oldI))
-	}
-	if err := f.lu.SolvePanelInto(s.px, s.pb, s.work); err != nil {
-		return err
-	}
-	for newI, oldI := range f.ord {
-		copy(x.Row(oldI), s.px.Row(newI))
 	}
 	return nil
 }

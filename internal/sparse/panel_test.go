@@ -11,8 +11,8 @@ import (
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // Property: every column of the panel triangular solve is bitwise-identical
-// to SolveInto on that column — across the RCM threshold (Factor skips the
-// pre-ordering below n = 64), with and without refinement, and across panel
+// to SolveInto on that column — across the pre-ordering threshold (Factor
+// skips AMD below n = 64), with and without refinement, and across panel
 // widths.
 func TestFactorizationSolvePanelIntoBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))

@@ -54,12 +54,13 @@ func Div(dst []float64, c float64) {
 // i.e. a whole column of sparse-triangular updates against one resident
 // source row, fused into a single call so the per-row slice construction and
 // call dispatch of repeated SubMul calls disappear from the hot path. Each
-// (q, i) element follows the same two-rounding contract as SubMul.
+// (q, i) element follows the same two-rounding contract as SubMul. Row
+// indices are int32, the index width of the sparse LU factors.
 //
-// The caller must guarantee rows[q]*w+w <= len(data) for every q, len(coef)
-// >= len(rows), and len(src) >= w; the assembly path does not bounds-check
-// row indices (the generic path panics as usual).
-func SubMulRows(data []float64, w int, rows []int, coef []float64, src []float64) {
+// The caller must guarantee 0 <= rows[q] and rows[q]*w+w <= len(data) for
+// every q, len(coef) >= len(rows), and len(src) >= w; the assembly path does
+// not bounds-check row indices (the generic path panics as usual).
+func SubMulRows(data []float64, w int, rows []int32, coef []float64, src []float64) {
 	if w == 0 || len(rows) == 0 {
 		return
 	}
@@ -107,10 +108,10 @@ func divGeneric(dst []float64, c float64) {
 	}
 }
 
-func subMulRowsGeneric(data []float64, w int, rows []int, coef []float64, src []float64) {
+func subMulRowsGeneric(data []float64, w int, rows []int32, coef []float64, src []float64) {
 	s := src[:w]
 	for q, r := range rows {
-		d := data[r*w : r*w+w]
+		d := data[int(r)*w : int(r)*w+w]
 		c := coef[q]
 		for i, v := range s {
 			d[i] -= c * v

@@ -13,7 +13,7 @@ func cpuHasAVX() bool
 func subMulAVX(dst, src *float64, n int, c float64)
 func addMulAVX(dst, src *float64, n int, c float64)
 func divAVX(dst *float64, n int, c float64)
-func subMulRowsAVX(data []float64, w int, rows []int, coef []float64, src []float64)
+func subMulRowsAVX(data []float64, w int, rows []int32, coef []float64, src []float64)
 
 func subMul(dst, src []float64, c float64) {
 	if hasAVX {
@@ -39,7 +39,7 @@ func div(dst []float64, c float64) {
 	divGeneric(dst, c)
 }
 
-func subMulRows(data []float64, w int, rows []int, coef []float64, src []float64) {
+func subMulRows(data []float64, w int, rows []int32, coef []float64, src []float64) {
 	if hasAVX {
 		subMulRowsAVX(data, w, rows, coef, src)
 		return

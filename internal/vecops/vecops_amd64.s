@@ -138,7 +138,7 @@ done:
 	VZEROUPPER
 	RET
 
-// func subMulRowsAVX(data []float64, w int, rows []int, coef []float64, src []float64)
+// func subMulRowsAVX(data []float64, w int, rows []int32, coef []float64, src []float64)
 //
 // One call per sparse-triangular factor column: the outer loop walks the
 // column's (row index, coefficient) pairs and the inner loop applies the
@@ -164,7 +164,7 @@ TEXT ·subMulRowsAVX(SB), NOSPLIT, $0-104
 	ANDQ  $3, R13                  // R13 = w%4 (scalar tail per row)
 
 qloop:
-	MOVQ         (R9), AX
+	MOVLQSX      (R9), AX          // rows[q] (int32)
 	IMULQ        R12, AX
 	LEAQ         (R8)(AX*8), DI    // DI = &data[rows[q]*w]
 	VBROADCASTSD (R11), Y0
@@ -217,7 +217,7 @@ tail1q:
 	JNZ    tail1q
 
 nextq:
-	ADDQ $8, R9
+	ADDQ $4, R9
 	ADDQ $8, R11
 	DECQ R10
 	JNZ  qloop
@@ -237,7 +237,7 @@ w32:
 	VMOVUPD 224(SI), Y12
 
 q32:
-	MOVQ         (R9), AX
+	MOVLQSX      (R9), AX          // rows[q] (int32)
 	SHLQ         $5, AX            // rows[q] * 32
 	LEAQ         (R8)(AX*8), DI
 	VBROADCASTSD (R11), Y0
@@ -273,7 +273,7 @@ q32:
 	VMOVUPD      224(DI), Y2
 	VSUBPD       Y1, Y2, Y2
 	VMOVUPD      Y2, 224(DI)
-	ADDQ         $8, R9
+	ADDQ         $4, R9
 	ADDQ         $8, R11
 	DECQ         R10
 	JNZ          q32

@@ -142,9 +142,9 @@ func TestSubMulRowsMatchesGeneric(t *testing.T) {
 	for _, w := range []int{0, 1, 2, 3, 4, 5, 7, 8, 11, 16, 31, 32, 33, 64} {
 		for _, nq := range []int{0, 1, 2, 3, 5, 9} {
 			nrows := 12
-			rows := make([]int, nq)
+			rows := make([]int32, nq)
 			for q := range rows {
-				rows[q] = rng.Intn(nrows)
+				rows[q] = int32(rng.Intn(nrows))
 			}
 			coef := fill(rng, nq)
 			src := fill(rng, w)
@@ -152,7 +152,7 @@ func TestSubMulRowsMatchesGeneric(t *testing.T) {
 			want := append([]float64(nil), data...)
 			if w > 0 {
 				for q, r := range rows {
-					subMulGeneric(want[r*w:r*w+w], src, coef[q])
+					subMulGeneric(want[int(r)*w:int(r)*w+w], src, coef[q])
 				}
 			}
 			SubMulRows(data, w, rows, coef, src)
@@ -169,12 +169,12 @@ func TestSubMulRowsAliasedSrcRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const w, nrows = 32, 6
 	data := fill(rng, nrows*w)
-	rows := []int{4, 1, 3}
+	rows := []int32{4, 1, 3}
 	coef := []float64{0.5, -2.25, 1e-3}
 	src := data[2*w : 3*w] // row 2, not in rows
 	want := append([]float64(nil), data...)
 	for q, r := range rows {
-		subMulGeneric(want[r*w:r*w+w], want[2*w:3*w], coef[q])
+		subMulGeneric(want[int(r)*w:int(r)*w+w], want[2*w:3*w], coef[q])
 	}
 	SubMulRows(data, w, rows, coef, src)
 	if !bitsSame(data, want) {
@@ -212,7 +212,7 @@ func BenchmarkSubMulRows4x32(b *testing.B) {
 	for i := range src {
 		src[i] = float64(i) + 0.5
 	}
-	rows := []int{1, 3, 4, 6}
+	rows := []int32{1, 3, 4, 6}
 	coef := []float64{0.5, 1.5, -0.25, 2}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
